@@ -70,7 +70,7 @@ func BenchmarkInterpretCompiled(b *testing.B) {
 	pkt[7] = 50
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !c.Run(pkt) {
+		if !c.Run(pkt).Accept {
 			b.Fatal("reject")
 		}
 	}

@@ -61,12 +61,12 @@ func main() {
 	fmt.Printf("prevalidated: accept=%v (max stack %d, %d instructions)\n",
 		pv.Run(match).Accept, pv.Info().MaxStack, pv.Info().Instrs)
 
-	// 3. Compiled to closures (§7's "machine code").
+	// 3. Compiled to flat register code (§7's "machine code").
 	c, err := core.Compile(prog, core.ValidateOptions{}, core.Env{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("compiled: accept=%v\n", c.Run(match))
+	fmt.Printf("compiled: accept=%v\n", c.Run(match).Accept)
 
 	// 4. A whole filter set merged into one decision table (§7).
 	set := []core.Filter{

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/ethersim"
@@ -174,22 +173,10 @@ func ExpChurn() Table {
 	for _, ports := range churnPorts {
 		cells = append(cells, cellID{ports, false}, cellID{ports, true})
 	}
-	// Heaviest populations first so the pool never idles behind a
-	// late-started 1024-port universe; results return in sweep order.
-	order := make([]int, len(cells))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return cells[order[a]].ports > cells[order[b]].ports
-	})
-	permuted := parsim.Map(len(order), sweepWorkers(), func(i int) churnResult {
-		return measureChurn(cells[order[i]].ports, cells[order[i]].full)
-	})
-	results := make([]churnResult, len(cells))
-	for i, r := range permuted {
-		results[order[i]] = r
-	}
+	// The largest populations are the heaviest cells.
+	results := parsim.MapHeaviestFirst(cells, sweepWorkers(),
+		func(a, b cellID) bool { return a.ports > b.ports },
+		func(c cellID) churnResult { return measureChurn(c.ports, c.full) })
 	for pi, ports := range churnPorts {
 		incr, full := results[2*pi], results[2*pi+1]
 		row := func(r churnResult) []string {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/ethersim"
@@ -169,24 +168,11 @@ func ExpMq() Table {
 			cells = append(cells, cellID{q, m})
 		}
 	}
-	// Dispatch the heaviest cells (fewest queues: the longest serial
-	// drains) first; the permutation is deterministic and results are
-	// written back to sweep order, so the table is bit-identical at any
-	// worker count.
-	order := make([]int, len(cells))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return cells[order[a]].queues < cells[order[b]].queues
-	})
-	permuted := parsim.Map(len(order), sweepWorkers(), func(i int) mqResult {
-		return measureMQ(cells[order[i]].queues, cells[order[i]].mode)
-	})
-	results := make([]mqResult, len(cells))
-	for i, r := range permuted {
-		results[order[i]] = r
-	}
+	// The heaviest cells have the fewest queues: the longest serial
+	// drains.
+	results := parsim.MapHeaviestFirst(cells, sweepWorkers(),
+		func(a, b cellID) bool { return a.queues < b.queues },
+		func(c cellID) mqResult { return measureMQ(c.queues, c.mode) })
 	base := make(map[string]time.Duration, len(modes))
 	for mi, m := range modes {
 		base[m.name] = results[mi].perPacket // queues == 1 row is first

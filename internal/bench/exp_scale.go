@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/ethersim"
@@ -177,24 +176,10 @@ func ExpScale() Table {
 			cells = append(cells, cellID{ports, m})
 		}
 	}
-	// Dispatch the heaviest cells (largest populations) first so the
-	// pool is never left waiting on a late-started 1024-port universe;
-	// the permutation is deterministic and results are written back to
-	// sweep order, so the table is bit-identical at any worker count.
-	order := make([]int, len(cells))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return cells[order[a]].ports > cells[order[b]].ports
-	})
-	permuted := parsim.Map(len(order), sweepWorkers(), func(i int) scaleResult {
-		return measureScale(cells[order[i]].ports, cells[order[i]].mode)
-	})
-	results := make([]scaleResult, len(cells))
-	for i, r := range permuted {
-		results[order[i]] = r
-	}
+	// The largest populations are the heaviest cells.
+	results := parsim.MapHeaviestFirst(cells, sweepWorkers(),
+		func(a, b cellID) bool { return a.ports > b.ports },
+		func(c cellID) scaleResult { return measureScale(c.ports, c.mode) })
 	for pi, ports := range scalePorts {
 		byMode := make(map[string]scaleResult, len(modes))
 		for mi, m := range modes {

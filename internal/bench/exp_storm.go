@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/ethersim"
@@ -152,28 +151,17 @@ func ExpStorm() Table {
 	for _, h := range stormHostiles {
 		cells = append(cells, cellID{h, false}, cellID{h, true})
 	}
-	// Heaviest first: the ungoverned 8-hostile universe dominates the
-	// sweep's wall clock.  The permutation is deterministic and results
-	// are written back to sweep order, so the table is bit-identical at
-	// any worker count.
-	order := make([]int, len(cells))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ca, cb := cells[order[a]], cells[order[b]]
-		if ca.gov != cb.gov {
-			return !ca.gov
-		}
-		return ca.hostile > cb.hostile
-	})
-	permuted := parsim.Map(len(order), sweepWorkers(), func(i int) stormResult {
-		return measureStorm(cells[order[i]].hostile, cells[order[i]].gov)
-	})
-	results := make([]stormResult, len(cells))
-	for i, r := range permuted {
-		results[order[i]] = r
-	}
+	// The ungoverned cells with the most hostile ports are the
+	// heaviest: the ungoverned 8-hostile universe dominates the sweep's
+	// wall clock.
+	results := parsim.MapHeaviestFirst(cells, sweepWorkers(),
+		func(a, b cellID) bool {
+			if a.gov != b.gov {
+				return !a.gov
+			}
+			return a.hostile > b.hostile
+		},
+		func(c cellID) stormResult { return measureStorm(c.hostile, c.gov) })
 	for hi, h := range stormHostiles {
 		off, on := results[2*hi], results[2*hi+1]
 		ratio := "n/a"

@@ -27,7 +27,7 @@ type (
 	Env             = filter.Env
 	Info            = filter.Info
 	Prevalidated    = filter.Prevalidated
-	Compiled        = filter.Compiled
+	FlatProg        = filter.FlatProg
 	Table           = filter.Table
 	PairPredicate   = filter.PairPredicate
 	FieldTest       = filter.FieldTest

@@ -34,7 +34,7 @@ func allocFilters() []Filter {
 
 // TestFilterHotPathsAllocationFree pins the per-packet filter paths at
 // zero heap allocations in steady state: the checked interpreter, the
-// compiled closures, and the merged decision table, on both accepting
+// compiled flat code, and the merged decision table, on both accepting
 // and rejecting packets.
 func TestFilterHotPathsAllocationFree(t *testing.T) {
 	if raceEnabled {
@@ -60,7 +60,7 @@ func TestFilterHotPathsAllocationFree(t *testing.T) {
 		c.Run(hit)
 		c.Run(miss)
 	}); a != 0 {
-		t.Errorf("Compiled.Run allocates %.1f/run, want 0", a)
+		t.Errorf("FlatProg.Run allocates %.1f/run, want 0", a)
 	}
 
 	tbl := BuildTable(allocFilters())

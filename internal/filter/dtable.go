@@ -313,7 +313,7 @@ func (t *Table) compileSlot(f Filter) slotState {
 		}
 		return slotState{kind: slotTree, conds: ex.Conds, minWords: ex.MinWords}
 	}
-	fp, err := CompileFlat(f.Program, ValidateOptions{}, Env{})
+	fp, err := Compile(f.Program, ValidateOptions{}, Env{})
 	if err != nil {
 		return slotState{kind: slotInert} // invalid program: matches nothing
 	}

@@ -96,7 +96,7 @@ func TestPrevalidatedEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompiledEquivalence checks the threaded-code compiler against
+// TestCompiledEquivalence checks the flat-code compiler against
 // the checked interpreter the same way.
 func TestCompiledEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
@@ -109,7 +109,7 @@ func TestCompiledEquivalence(t *testing.T) {
 		for j := 0; j < 8; j++ {
 			pkt := genPacket(r)
 			want := Run(p, pkt).Accept
-			if got := c.Run(pkt); got != want {
+			if got := c.Run(pkt).Accept; got != want {
 				t.Fatalf("accept mismatch (checked=%v compiled=%v)\npkt len %d\n%s",
 					want, got, len(pkt), p)
 			}

@@ -16,9 +16,9 @@ package filter
 //     covers WorstInstrs (the common case — the fast inner loop stays
 //     untouched); an under-budget call falls back to the metered
 //     checked interpreter so the fuel is still enforced exactly.
-//   - Compiled.RunFuel and Table.MatchFuel: admission control only —
+//   - FlatProg.RunFuel and Table.MatchFuel: admission control only —
 //     a budget below the static worst case refuses to run at all.
-//     Threading a counter through the compiled closures (or the tree
+//     Threading a counter through the flat code (or the tree
 //     walk) would tax every step of the fastest paths to support a
 //     case the governor handles by not running the filter.
 //
@@ -63,11 +63,11 @@ func (v *Prevalidated) RunFuel(pkt []byte, fuel int) Result {
 // worst case, and refuses with ErrFuel otherwise.  Compiled execution
 // is all-or-nothing: the flat code carries no metering branch, so
 // admission is decided entirely by the WorstInstrs bound.
-func (c *Compiled) RunFuel(pkt []byte, fuel int) (bool, error) {
-	if fuel < c.fp.info.WorstInstrs {
+func (f *FlatProg) RunFuel(pkt []byte, fuel int) (bool, error) {
+	if fuel < f.info.WorstInstrs {
 		return false, ErrFuel
 	}
-	return c.Run(pkt), nil
+	return f.Run(pkt).Accept, nil
 }
 
 // WorstInstrs bounds the work units (tree edges plus linear-fallback

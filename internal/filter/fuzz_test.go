@@ -50,7 +50,7 @@ func FuzzRun(f *testing.F) {
 			if err != nil {
 				t.Fatalf("Validate ok but Compile failed: %v", err)
 			}
-			if got := c.Run(pkt); got != checked.Accept {
+			if got := c.Run(pkt).Accept; got != checked.Accept {
 				t.Fatalf("compiled diverges: %v vs %v", got, checked.Accept)
 			}
 			opt := Optimize(prog, ValidateOptions{})

@@ -1,7 +1,9 @@
 package filter
 
-// This file is the v2 compilation strategy for §7's "compile the set
-// of active filters" proposal: a flat, register-based intermediate
+// This file is the compiler behind §7's two compilation proposals —
+// "compiling filters into machine code" for one filter, and "compile
+// the set of active filters" for the merged table, whose fallbacks run
+// the same code: a flat, register-based intermediate
 // representation.  The stack language has no branches, so the stack
 // depth at every program point is a compile-time constant; each stack
 // slot therefore becomes a virtual register and every instruction is
@@ -57,7 +59,7 @@ type FlatInstr struct {
 }
 
 // FlatProg is one filter program compiled to flat register code.
-// Construct with CompileFlat; evaluate with Run.  Safe for concurrent
+// Construct with Compile; evaluate with Run.  Safe for concurrent
 // use: evaluation state lives entirely on the caller's stack.
 type FlatProg struct {
 	code []FlatInstr
@@ -67,9 +69,11 @@ type FlatProg struct {
 	ext  bool
 }
 
-// CompileFlat validates p and compiles it to flat register code.  env
-// is bound at compile time, exactly as Compile binds it.
-func CompileFlat(p Program, opt ValidateOptions, env Env) (*FlatProg, error) {
+// Compile validates p and compiles it to flat register code.  env is
+// bound at compile time (the extended header-length action is a
+// per-device constant in the original driver, so binding it at compile
+// time loses nothing).
+func Compile(p Program, opt ValidateOptions, env Env) (*FlatProg, error) {
 	info, err := Validate(p, opt)
 	if err != nil {
 		return nil, err

@@ -7,7 +7,7 @@ import (
 )
 
 // randProgWords draws an arbitrary word sequence — mostly invalid
-// programs, which is the point: CompileFlat must agree with Validate
+// programs, which is the point: Compile must agree with Validate
 // about what is compilable, and the compiled code must agree with the
 // interpreter on everything that is.
 func randProgWords(r *rand.Rand) Program {
@@ -39,9 +39,9 @@ func TestFlatMatchesInterpreter(t *testing.T) {
 		p := randProgWords(r)
 		ext := trial%2 == 1
 		opt := ValidateOptions{Extensions: ext}
-		fp, err := CompileFlat(p, opt, env)
+		fp, err := Compile(p, opt, env)
 		if _, verr := Validate(p, opt); (verr == nil) != (err == nil) {
-			t.Fatalf("trial %d: Validate err %v, CompileFlat err %v", trial, verr, err)
+			t.Fatalf("trial %d: Validate err %v, Compile err %v", trial, verr, err)
 		}
 		if err != nil {
 			continue
@@ -86,7 +86,7 @@ func TestFlatMatchesPrevalidated(t *testing.T) {
 		if err != nil {
 			t.Fatalf("prog %d: %v", pi, err)
 		}
-		fp, err := CompileFlat(p, ValidateOptions{}, Env{})
+		fp, err := Compile(p, ValidateOptions{}, Env{})
 		if err != nil {
 			t.Fatalf("prog %d: %v", pi, err)
 		}
@@ -109,7 +109,7 @@ func TestFlatRoundTrip(t *testing.T) {
 	n := 0
 	for trial := 0; trial < 5000 && n < 500; trial++ {
 		p := randProgWords(r)
-		fp, err := CompileFlat(p, ValidateOptions{}, Env{})
+		fp, err := Compile(p, ValidateOptions{}, Env{})
 		if err != nil {
 			continue
 		}
@@ -149,7 +149,7 @@ func FuzzFlatRoundTrip(f *testing.F) {
 		NewBuilder().AcceptAll().MustProgram(),
 		NewBuilder().WordEQ(1, PupEtherType).WordEQ(8, 35).And().MustProgram(),
 	} {
-		fp, err := CompileFlat(p, ValidateOptions{}, Env{})
+		fp, err := Compile(p, ValidateOptions{}, Env{})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func FuzzFlatEquivalence(f *testing.F) {
 		for i := range p {
 			p[i] = Word(uint16(raw[2*i])<<8 | uint16(raw[2*i+1]))
 		}
-		fp, err := CompileFlat(p, ValidateOptions{}, Env{})
+		fp, err := Compile(p, ValidateOptions{}, Env{})
 		if err != nil {
 			return
 		}

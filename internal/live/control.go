@@ -135,9 +135,18 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// serveConn serves one control connection.  The ports it opens live
+// as long as the connection: when the client goes away they close, as
+// a process's descriptors close when it exits, and their still-queued
+// frames die as DropPortClose.  Other connections may read and close
+// them meanwhile.
 func (s *Server) serveConn(conn net.Conn) {
+	var opened []*Port
 	defer func() {
 		conn.Close()
+		for _, port := range opened {
+			port.Close()
+		}
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
@@ -151,7 +160,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err := dec.Decode(&req); err != nil {
 			return
 		}
-		resp := s.handle(req)
+		resp := s.handle(req, &opened)
 		if err := enc.Encode(resp); err != nil {
 			return
 		}
@@ -165,7 +174,9 @@ func fail(format string, args ...any) Response {
 	return Response{Err: fmt.Sprintf(format, args...)}
 }
 
-func (s *Server) handle(req Request) Response {
+// handle serves one request; opened lists the ports the requesting
+// connection has open.
+func (s *Server) handle(req Request, opened *[]*Port) Response {
 	switch req.Op {
 	case "ping":
 		return Response{OK: true}
@@ -181,6 +192,7 @@ func (s *Server) handle(req Request) Response {
 		if req.Stamp {
 			port.SetStamp(true)
 		}
+		*opened = append(*opened, port)
 		return Response{OK: true, Port: port.ID()}
 
 	case "setfilter":
@@ -227,6 +239,12 @@ func (s *Server) handle(req Request) Response {
 			return fail("no such port %d", req.Port)
 		}
 		port.Close()
+		for i, q := range *opened {
+			if q == port {
+				*opened = append((*opened)[:i], (*opened)[i+1:]...)
+				break
+			}
+		}
 		return Response{OK: true}
 
 	case "stats":

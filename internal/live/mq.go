@@ -1,6 +1,6 @@
 package live
 
-// Multi-queue receive: the live mirror of pfdev's per-queue demux
+// Multi-queue receive: the live counterpart of pfdev's per-queue demux
 // contexts.  The simulated device models each RSS queue as a kernel
 // lane — a parallel kernel thread charging virtual CPU; here each
 // queue is a real goroutine draining a FIFO channel.  The steering

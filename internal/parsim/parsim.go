@@ -24,6 +24,7 @@ package parsim
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -99,6 +100,28 @@ func Map[T any](n, workers int, fn func(trial int) T) []T {
 		if p != nil {
 			panic(fmt.Sprintf("parsim: trial %d panicked: %v\n%s", i, p.val, p.stack))
 		}
+	}
+	return results
+}
+
+// MapHeaviestFirst runs fn over every cell of a sweep like Map, but
+// dispatches the cells heaviest first — heavier(a, b) reports that
+// cell a takes longer than cell b; ties keep sweep order — so the pool
+// is never left waiting on a long trial started last.  The permutation
+// is deterministic and results come back in sweep order, so output
+// built from them is bit-identical at any worker count.
+func MapHeaviestFirst[C, T any](cells []C, workers int, heavier func(a, b C) bool, fn func(C) T) []T {
+	order := make([]int, len(cells))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return heavier(cells[order[a]], cells[order[b]])
+	})
+	permuted := Map(len(order), workers, func(i int) T { return fn(cells[order[i]]) })
+	results := make([]T, len(cells))
+	for i, r := range permuted {
+		results[order[i]] = r
 	}
 	return results
 }

@@ -117,7 +117,7 @@ func TestQuarantineExitPatchesTable(t *testing.T) {
 	probe := pupTo(2, 1, 1, 35)
 
 	// Prime the table and confirm delivery.
-	if got, _ := r.db.tableMatch(probe, nil); !sameIDs(portIDs(got), []int{port.id}) {
+	if got, _ := r.db.tableMatch(probe, nil, 0); !sameIDs(portIDs(got), []int{port.id}) {
 		t.Fatalf("primed table delivered to %v, want %v", portIDs(got), []int{port.id})
 	}
 	builds, patches := r.db.TableBuilds, r.db.TablePatches
@@ -125,7 +125,7 @@ func TestQuarantineExitPatchesTable(t *testing.T) {
 	// Starve the bucket: the next reach quarantines the port and must
 	// patch it out of the published table in place.
 	port.govTokens = 0
-	if got, _ := r.db.tableMatch(probe, nil); len(got) != 0 {
+	if got, _ := r.db.tableMatch(probe, nil, 0); len(got) != 0 {
 		t.Fatalf("starved port still delivered to %v", portIDs(got))
 	}
 	if port.quarantines != 1 || port.tableActive {
@@ -140,7 +140,7 @@ func TestQuarantineExitPatchesTable(t *testing.T) {
 	}
 
 	// While the window holds, matches skip without further patching.
-	if got, _ := r.db.tableMatch(probe, nil); len(got) != 0 {
+	if got, _ := r.db.tableMatch(probe, nil, 0); len(got) != 0 {
 		t.Fatalf("quarantined port delivered to %v", portIDs(got))
 	}
 	if r.db.TablePatches != patches+1 {
@@ -152,7 +152,7 @@ func TestQuarantineExitPatchesTable(t *testing.T) {
 	// transition: it must be delivered and must patch the port back in.
 	r.s.Spawn(r.hb, "wait", func(p *sim.Proc) { p.Sleep(30 * time.Millisecond) })
 	r.s.Run(0)
-	got, _ := r.db.tableMatch(probe, nil)
+	got, _ := r.db.tableMatch(probe, nil, 0)
 	if !sameIDs(portIDs(got), []int{port.id}) {
 		t.Fatalf("forgiveness packet delivered to %v, want %v", portIDs(got), []int{port.id})
 	}
@@ -165,7 +165,7 @@ func TestQuarantineExitPatchesTable(t *testing.T) {
 	}
 
 	// Steady state after re-insertion: the patched table answers alone.
-	if got, _ := r.db.tableMatch(probe, nil); !sameIDs(portIDs(got), []int{port.id}) {
+	if got, _ := r.db.tableMatch(probe, nil, 0); !sameIDs(portIDs(got), []int{port.id}) {
 		t.Fatalf("post-exit steady match delivered to %v", portIDs(got))
 	}
 }

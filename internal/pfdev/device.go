@@ -22,6 +22,7 @@ import (
 	"repro/internal/filter"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/vtime"
 )
 
 // EvalMode selects how the device evaluates filter programs; the modes
@@ -136,53 +137,25 @@ type Options struct {
 }
 
 // Device is one packet-filter pseudodevice instance bound to one
-// network interface.
+// network interface: the shared demux engine (engine.go) plus the
+// simulated kernel around it — NIC attachment, per-queue receive
+// contexts with their virtual CPU charges, rings, crash handling and
+// process wakeups.
 type Device struct {
+	*engine
 	host *sim.Host
 	nic  *ethersim.NIC
-	opt  Options
 	kern KernelProtocol
 
-	ports   []*Port // sorted: priority desc, busy-first within priority
-	nextID  int
-	pktSeen uint64
+	// tableStall is the virtual time packets have waited on
+	// from-scratch table compiles on the match path.
+	tableStall time.Duration
 
-	// table is the published merged evaluator (EvalTable mode).  It is
-	// immutable: open/close/setfilter/quarantine churn patches it with
-	// filter.Table.Insert/Remove and swaps the pointer, so a match pass
-	// that snapshotted the old pointer finishes on a consistent table
-	// while the new one is already published — the RCU discipline that
-	// keeps matching stall-free under churn.  nil means "no table
-	// built yet"; the next match builds one from scratch.
-	table *filter.Table
-
-	// reorderPending defers a §3.2 busy-first reorder that came due in
-	// the middle of a coalesced burst to the burst boundary, so every
-	// frame within one burst observes a single scan order.
-	reorderPending bool
-
-	// Table-maintenance accounting (deterministic units from
-	// filter.Table.Work): TableBuilds counts from-scratch builds,
-	// TablePatches incremental insert/remove patches, and tableWork the
-	// cumulative construction work — the churn benchmark's
-	// "rebuild stall" metric.
-	TableBuilds  uint64
-	TablePatches uint64
-	tableWork    uint64
-	tableStall   time.Duration
-
-	// Burst bookkeeping: curBurst is non-zero while inputBurst is
-	// matching a coalesced burst, and per-port/table stamps record
-	// which burst last charged the fixed FilterApply setup, so it is
-	// charged once per burst instead of once per frame.
-	burstSeq   uint64
-	curBurst   uint64
-	tableBurst uint64
-
-	// queueCap, when non-zero, caps the effective input-queue limit
-	// of every port on the device — the fault engine's "port-queue
-	// pressure" knob.
-	queueCap int
+	// burstSeq is one device-wide monotonic stamp across all queues,
+	// identifying the coalesced burst being matched: per-port
+	// FilterApply amortization compares stamps for equality, so bursts
+	// on different queues never share a setup charge.
+	burstSeq uint64
 
 	// rx holds one demux context per receive queue (always at least
 	// one).  Each context owns its own pending-delivery queue and
@@ -190,26 +163,17 @@ type Device struct {
 	// order only within one lane — across lanes completions
 	// interleave, so per-queue FIFOs are what keep the "head of the
 	// pending queue is the frame whose charge just retired" invariant
-	// true.  The match scratch slices stay on the device: matching is
+	// true.  The wakeup scratch stays on the device: delivery is
 	// synchronous within one event callback, and the event loop runs
 	// callbacks one at a time even when lanes overlap in virtual time.
 	rx          []*rxCtx
-	treeScratch []*Port
 	wakeScratch []*Port
-
-	// Governor state (gov.go): queuedTotal tracks packets queued
-	// across all ports O(1); scanQuarSkip is set by a match pass that
-	// skipped at least one quarantined filter, so a resulting
-	// no-match drop is attributed DropQuota rather than DropNoMatch.
-	queuedTotal    int
-	shedding       bool
-	admissionSheds uint64
-	scanQuarSkip   bool
-
-	// KernelDrops counts packets that matched no filter or
-	// overflowed a port queue.
-	KernelDrops uint64
 }
+
+// engine lets Device embed the engine without exporting it as a
+// field: the engine's state and its TableBuilds/TablePatches/
+// KernelDrops counters read as the device's own.
+type engine = Engine
 
 // rxCtx is one receive queue's demux context: the per-queue pending
 // delivery FIFO, burst bookkeeping, pre-bound completion callbacks,
@@ -240,16 +204,13 @@ type rxCtx struct {
 // Attach creates a packet-filter device on nic and installs its
 // receive handler, demultiplexing to kern (may be nil) first.
 func Attach(nic *ethersim.NIC, kern KernelProtocol, opt Options) *Device {
-	if opt.ReorderEvery <= 0 {
-		opt.ReorderEvery = 64
-	}
-	if opt.Gov.Enabled {
-		opt.Gov = opt.Gov.withDefaults()
-	}
 	if opt.Queues < 1 {
 		opt.Queues = 1
 	}
-	d := &Device{host: nic.Host(), nic: nic, opt: opt, kern: kern}
+	h := nic.Host()
+	env := filter.Env{HeaderWords: nic.Network().Link().HeaderWords()}
+	d := &Device{engine: NewEngine(opt, env, h.Clock(), h.Sim().Tracer, h.Name()),
+		host: h, nic: nic, kern: kern}
 	nic.SetQueues(opt.Queues)
 	d.rx = make([]*rxCtx, opt.Queues)
 	for i := range d.rx {
@@ -274,7 +235,7 @@ func Attach(nic *ethersim.NIC, kern KernelProtocol, opt Options) *Device {
 	// every open port is closed on a crash, so surviving process
 	// goroutines see ErrClosed and must re-open and re-bind their
 	// filters on recovery.
-	nic.Host().OnCrash(d.crash)
+	h.OnCrash(d.crash)
 	return d
 }
 
@@ -287,10 +248,6 @@ func (d *Device) Queues() int { return len(d.rx) }
 func (d *Device) crash() {
 	tr := d.host.Sim().Tracer()
 	now := d.host.Clock().Now()
-	ports := d.ports
-	d.ports = nil
-	d.table = nil
-	d.reorderPending = false
 	// Matched-but-undelivered frames die with the kernel: their "pf"
 	// completions were dropped from the host's interrupt and lane
 	// queues, so every queue's pending FIFO must empty in step.
@@ -303,15 +260,8 @@ func (d *Device) crash() {
 		rx.burstLens = rx.burstLens[:0]
 		rx.burstHead = 0
 	}
-	d.queuedTotal = 0
-	d.shedding = false
-	for _, port := range ports {
-		for _, pkt := range port.queued() {
-			tr.SpanDrop(pkt.span, now, d.host.Name(), trace.DropCrash)
-		}
-		port.closed = true
-		port.queue = nil
-		port.qhead = 0
+	for _, pc := range d.closeAll(trace.DropCrash) {
+		port := pc.owner.(*Port)
 		// Ring attachments die with the kernel's port state; the
 		// segment itself is user memory and survives, free for the
 		// re-opened port to map again.
@@ -404,13 +354,14 @@ func (d *Device) inputSpanned(frame []byte, span uint64) {
 // steering makes this rare — it takes distinct flows matched by one
 // port straddling queues.  Free (and uncounted) on a single-queue
 // device.
-func (rx *rxCtx) xqCost(ports []*Port) time.Duration {
+func (rx *rxCtx) xqCost(ports []*PortCore) time.Duration {
 	d := rx.d
 	if len(d.rx) == 1 {
 		return 0
 	}
 	var cost time.Duration
-	for _, port := range ports {
+	for _, pc := range ports {
+		port := pc.owner.(*Port)
 		if port.lastRxQ >= 0 && port.lastRxQ != rx.idx {
 			cost += d.host.Costs().XQDeliver
 			d.host.Counters.XQDeliveries++
@@ -421,49 +372,85 @@ func (rx *rxCtx) xqCost(ports []*Port) time.Duration {
 	return cost
 }
 
-func (rx *rxCtx) inputSpanned(frame []byte, span uint64) {
-	d := rx.d
-	if d.claim(frame, span) {
-		return
+// admit runs the engine's demux entry for one frame, counting a shed
+// frame as a host packet drop.
+func (d *Device) admit(span uint64, burst uint64) bool {
+	if d.Admit(span, d.pending(), burst) {
+		return true
 	}
-	if !d.admitFrame() {
-		// Overload: shed at demux entry, before any filter cost.
-		d.shedFrame(span)
-		return
-	}
-	arrival := d.host.Clock().Now()
-	tr := d.host.Sim().Tracer()
-	if tr != nil {
-		tr.PacketIn(arrival, d.host.Name())
-	}
-	tr.SpanMark(span, trace.StageDemux, arrival)
-	d.pktSeen++
-	d.maybeReorder()
+	d.countDrop()
+	return false
+}
 
-	// Evaluate the filters now (real computation), then charge the
-	// resulting virtual cost before the packet becomes visible.
-	// Predicate evaluation is accounted separately from the fixed
-	// per-packet work so experiments can reproduce §6.1's "41% of
-	// this time is spent evaluating filter predicates".
-	costs := d.host.Costs()
-	dl := rx.pushPending(frame, arrival)
-	dl.span = span
-	var filterCost time.Duration
+// pending is the admission backlog beyond the port queues: matched
+// frames still awaiting their "pf" kernel charge.
+func (d *Device) pending() int {
+	n := 0
+	for _, rx := range d.rx {
+		n += len(rx.pend) - rx.pendHead
+	}
+	return n
+}
 
+// countDrop bumps the host and simulation packet-drop counters.
+func (d *Device) countDrop() {
+	d.host.Counters.PacketsDropped++
+	d.host.Sim().Counters.PacketsDropped++
+}
+
+// match runs the engine's filter scan for one frame and bills it:
+// host counters now, and the virtual evaluation cost returned.
+// Predicate evaluation is accounted separately from the fixed
+// per-packet work so experiments can reproduce §6.1's "41% of this
+// time is spent evaluating filter predicates".
+func (d *Device) match(dl *delivery, burst uint64, costs *vtime.Costs) time.Duration {
+	var mc MatchCounts
 	if d.opt.Mode == EvalTable {
-		dl.ports, filterCost = d.tableMatch(frame, dl.ports)
+		dl.ports, mc = d.tableMatch(dl.frame, dl.ports, burst)
 	} else {
-		dl.ports, filterCost = d.linearMatch(frame, dl.ports)
+		dl.ports, mc = d.linearMatch(dl.frame, dl.ports, burst)
 	}
-	dl.quarSkip = d.scanQuarSkip
-	cost := costs.PfInput + rx.xqCost(dl.ports)
+	dl.quarSkip = mc.QuarSkip
+	c, sc := &d.host.Counters, &d.host.Sim().Counters
+	c.FilterApplied += uint64(mc.Applied)
+	sc.FilterApplied += uint64(mc.Applied)
+	c.FilterInstrs += uint64(mc.Instrs)
+	sc.FilterInstrs += uint64(mc.Instrs)
+	c.PacketsMatched += uint64(len(dl.ports))
+	sc.PacketsMatched += uint64(len(dl.ports))
+	// A rebuild on the packet path is a stall: the frame waits while
+	// the kernel recompiles the whole filter set, charged at
+	// instruction rate so churn under Options.FullRebuild shows up in
+	// per-packet cost and tail latency.
+	stall := time.Duration(mc.Stall) * costs.FilterInstr
+	d.tableStall += stall
+	return time.Duration(mc.Setups)*costs.FilterApply + time.Duration(mc.Instrs)*costs.FilterInstr + stall
+}
 
-	for _, port := range dl.ports {
-		if port.stamp {
-			cost += costs.Timestamp
+// stampCost is the microtime() charge for the accepting ports that
+// timestamp their packets.
+func stampCost(ports []*PortCore, timestamp time.Duration) time.Duration {
+	var cost time.Duration
+	for _, pc := range ports {
+		if pc.stamp {
+			cost += timestamp
 		}
 	}
+	return cost
+}
 
+func (rx *rxCtx) inputSpanned(frame []byte, span uint64) {
+	d := rx.d
+	if d.claim(frame, span) || !d.admit(span, 0) {
+		return
+	}
+	// Evaluate the filters now (real computation), then charge the
+	// resulting virtual cost before the packet becomes visible.
+	costs := d.host.Costs()
+	dl := rx.pushPending(frame, d.host.Clock().Now())
+	dl.span = span
+	filterCost := d.match(dl, 0, &costs)
+	cost := costs.PfInput + rx.xqCost(dl.ports) + stampCost(dl.ports, costs.Timestamp)
 	d.host.RunKernelOn(rx.lane, rx.filterTag, filterCost, rx.markFilterFn)
 	d.host.RunKernelOn(rx.lane, rx.pfTag, cost, rx.deliverOneFn)
 }
@@ -500,7 +487,7 @@ type delivery struct {
 	frame   []byte
 	arrival time.Duration
 	span    uint64
-	ports   []*Port
+	ports   []*PortCore
 	// quarSkip records that the frame's match pass skipped at least
 	// one quarantined filter, so a no-match outcome is the governor's
 	// doing (DropQuota) rather than the filter set's (DropNoMatch).
@@ -557,29 +544,20 @@ func (rx *rxCtx) popBurst() int {
 func (rx *rxCtx) deliverOne() {
 	d := rx.d
 	dl := rx.popPending()
-	tr := d.host.Sim().Tracer()
 	if len(dl.ports) == 0 {
-		d.KernelDrops++
-		d.host.Counters.PacketsDropped++
-		d.host.Sim().Counters.PacketsDropped++
-		reason, label := trace.DropNoMatch, "nomatch"
-		if dl.quarSkip {
-			reason, label = trace.DropQuota, "quota"
-		}
-		if tr != nil {
-			tr.Drop(d.host.Clock().Now(), d.host.Name(), label)
-		}
-		tr.SpanDrop(dl.span, d.host.Clock().Now(), d.host.Name(), reason)
+		d.countDrop()
+		d.DropUnmatched(dl.span, dl.quarSkip)
 		return
 	}
-	for i, port := range dl.ports {
+	tr := d.host.Sim().Tracer()
+	for i, pc := range dl.ports {
 		s := dl.span
 		if i > 0 {
 			// Copy-all delivery to further ports forks child spans so
 			// each enqueue terminates independently.
 			s = tr.SpanFork(dl.span, d.host.Clock().Now(), d.host.Name())
 		}
-		port.enqueue(dl.frame, dl.arrival, s)
+		pc.owner.(*Port).enqueue(dl.frame, dl.arrival, s)
 	}
 }
 
@@ -605,65 +583,32 @@ func (rx *rxCtx) inputBurst(frames [][]byte) {
 	}
 	spans := d.nic.RxBurstSpans()
 	arrival := d.host.Clock().Now()
-	tr := d.host.Sim().Tracer()
 	costs := d.host.Costs()
 
 	nDel := 0
 	var filterCost, pfCost time.Duration
-	// burstSeq is one device-wide monotonic stamp across all queues:
-	// per-port FilterApply amortization compares stamps for equality,
-	// so bursts on different queues never share a setup charge.
 	d.burstSeq++
-	d.curBurst = d.burstSeq
+	burst := d.burstSeq
 	for k, frame := range frames {
 		var span uint64
 		if k < len(spans) {
 			span = spans[k]
 		}
-		if d.claim(frame, span) {
+		if d.claim(frame, span) || !d.admit(span, burst) {
 			continue
 		}
-		if !d.admitFrame() {
-			d.shedFrame(span)
-			continue
-		}
-		if tr != nil {
-			tr.PacketIn(arrival, d.host.Name())
-		}
-		tr.SpanMark(span, trace.StageDemux, arrival)
-		d.pktSeen++
-		d.maybeReorder()
 		dl := rx.pushPending(frame, arrival)
 		dl.span = span
-		var fc time.Duration
-		if d.opt.Mode == EvalTable {
-			dl.ports, fc = d.tableMatch(frame, dl.ports)
-		} else {
-			dl.ports, fc = d.linearMatch(frame, dl.ports)
-		}
-		dl.quarSkip = d.scanQuarSkip
-		filterCost += fc
+		filterCost += d.match(dl, burst, &costs)
 		if nDel == 0 {
 			pfCost += costs.PfInput
 		} else {
 			pfCost += costs.PfPoll
 		}
-		pfCost += rx.xqCost(dl.ports)
-		for _, port := range dl.ports {
-			if port.stamp {
-				pfCost += costs.Timestamp
-			}
-		}
+		pfCost += rx.xqCost(dl.ports) + stampCost(dl.ports, costs.Timestamp)
 		nDel++
 	}
-	d.curBurst = 0
-	if d.reorderPending {
-		// A reorder that came due mid-burst was held so every frame of
-		// the burst matched against one scan order; apply it now, at
-		// the burst boundary.
-		d.reorderPending = false
-		d.reorder()
-	}
+	d.EndBurst()
 	if nDel == 0 {
 		return
 	}
@@ -685,24 +630,16 @@ func (rx *rxCtx) deliverBurst() {
 	for k := 0; k < n; k++ {
 		dl := rx.popPending()
 		if len(dl.ports) == 0 {
-			d.KernelDrops++
-			d.host.Counters.PacketsDropped++
-			d.host.Sim().Counters.PacketsDropped++
-			reason, label := trace.DropNoMatch, "nomatch"
-			if dl.quarSkip {
-				reason, label = trace.DropQuota, "quota"
-			}
-			if tr != nil {
-				tr.Drop(now, d.host.Name(), label)
-			}
-			tr.SpanDrop(dl.span, now, d.host.Name(), reason)
+			d.countDrop()
+			d.DropUnmatched(dl.span, dl.quarSkip)
 			continue
 		}
-		for i, port := range dl.ports {
+		for i, pc := range dl.ports {
 			s := dl.span
 			if i > 0 {
 				s = tr.SpanFork(dl.span, now, d.host.Name())
 			}
+			port := pc.owner.(*Port)
 			if port.enqueueQuiet(dl.frame, dl.arrival, s) && !port.wakePending {
 				port.wakePending = true
 				wake = append(wake, port)
@@ -716,314 +653,6 @@ func (rx *rxCtx) deliverBurst() {
 	d.wakeScratch = wake[:0]
 }
 
-// linearMatch applies filters in priority order (figure 4-1),
-// appending the accepting ports to dst, and returns the (possibly
-// regrown) slice and the virtual evaluation cost.
-func (d *Device) linearMatch(frame []byte, dst []*Port) ([]*Port, time.Duration) {
-	costs := d.host.Costs()
-	tr := d.host.Sim().Tracer()
-	now := d.host.Clock().Now()
-	var cost time.Duration
-	accepted := dst
-	gov := d.opt.Gov.Enabled
-	d.scanQuarSkip = false
-	for _, port := range d.ports {
-		if port.closed || port.prog == nil {
-			continue
-		}
-		if gov && !port.govAdmit(now, &d.opt.Gov) {
-			// Quarantined: the filter is skipped outright — no setup
-			// cost, no instruction charges, no chance to match.
-			d.scanQuarSkip = true
-			continue
-		}
-		d.host.Counters.FilterApplied++
-		d.host.Sim().Counters.FilterApplied++
-		if d.curBurst == 0 || port.applyBurst != d.curBurst {
-			// The fixed interpreter-setup cost; within one coalesced
-			// burst it is charged once per port and amortized over
-			// the burst's frames.
-			cost += costs.FilterApply
-			port.applyBurst = d.curBurst
-		}
-
-		accept, instrs := port.eval(frame)
-		cost += time.Duration(instrs) * costs.FilterInstr
-		d.host.Counters.FilterInstrs += uint64(instrs)
-		d.host.Sim().Counters.FilterInstrs += uint64(instrs)
-		port.instrs += uint64(instrs)
-		if gov {
-			port.govCharge(instrs)
-		}
-		if tr != nil {
-			tr.FilterEval(now, d.host.Name(), port.id, instrs, accept)
-		}
-
-		if !accept {
-			continue
-		}
-		port.matches++
-		d.host.Counters.PacketsMatched++
-		d.host.Sim().Counters.PacketsMatched++
-		accepted = append(accepted, port)
-		if !port.copyAll {
-			// A non-copy-all accept ends the scan: later filters — even
-			// at the same priority — do not see the packet.  Priority
-			// ties resolve deterministically to the first accepting
-			// port in the current scan order (priority descending,
-			// busy-first within a priority), which is what makes the
-			// §3.2 busy-first reordering pay off.  A copy-all accept
-			// instead lets the packet continue to every later filter,
-			// which is how monitors coexist with the monitored.
-			// tableMatch implements the identical rule over the same
-			// port order; the linear/table equivalence property pins
-			// it.
-			break
-		}
-	}
-	return accepted, cost
-}
-
-// tableMatch uses the merged decision table.  v2 splits the work in
-// two: the table answers "which filters accept this frame" (one tree
-// walk plus lazily evaluated flat-code fallbacks), while the device
-// drives the scan over d.ports in the same order as linearMatch —
-// priority descending, busy-first within a priority — deciding
-// governor admission at the moment each port is reached and stopping
-// at the first non-copy-all accept, exactly like the linear rule.
-// Scan order therefore never lives inside the table, which is what
-// lets reorder() and sortPorts leave the table untouched.
-//
-// Virtual cost: one FilterApply for starting the walk (amortized over
-// a coalesced burst like the linear path's per-port setup) plus one
-// FilterInstr per unit of work the match actually did — each
-// decision-tree node whose packet word was examined, plus every
-// instruction the fallbacks the scan actually reached interpreted
-// (fallbacks past the stopping port are never run, mirroring the
-// linear early exit).  Fallback filters charge their own interpreter
-// runs; the tree walk's path depth is split evenly across the reached
-// tree-accepting ports (remainder to the first; port -1 only when the
-// walk's work benefited no reached port).
-//
-// Governor transitions patch the published table in place: a port
-// denied admission is removed (its filter becomes unreachable, like a
-// closed port's), and a forgiven port is re-inserted, with its
-// transition packet evaluated directly against its own flat code since
-// the already-snapshotted table cannot answer for it.  The snapshot
-// taken at the top of the match keeps this packet's view consistent
-// while the patched table is published for the next one.
-func (d *Device) tableMatch(frame []byte, dst []*Port) ([]*Port, time.Duration) {
-	costs := d.host.Costs()
-	tr := d.host.Sim().Tracer()
-	now := d.host.Clock().Now()
-	gov := d.opt.Gov.Enabled
-	d.scanQuarSkip = false
-	var stall time.Duration
-	if d.table == nil {
-		// A rebuild on the packet path is a stall: the frame waits
-		// while the kernel recompiles the whole filter set.  Charge its
-		// work at instruction rate so churn under Options.FullRebuild
-		// shows up in per-packet cost and tail latency; incremental
-		// patches run at setfilter/close time, off this path.
-		w0 := d.tableWork
-		d.rebuildTable()
-		stall = time.Duration(d.tableWork-w0) * costs.FilterInstr
-		d.tableStall += stall
-	}
-	tbl := d.table // this match's immutable snapshot
-	treeIdxs, edges := tbl.TreeMatch(frame)
-	total := edges
-
-	slotAccepted := func(slot int) bool {
-		for _, i := range treeIdxs {
-			if i == slot {
-				return true
-			}
-		}
-		return false
-	}
-
-	accepted, treeAccepts := dst, d.treeScratch[:0]
-	for _, port := range d.ports {
-		if port.closed || port.prog == nil {
-			continue
-		}
-		// The slot this port held in the snapshot, before any
-		// transition this scan performs on it (slots are stable under
-		// patching, so other ports' transitions cannot move it).
-		slot := port.slot
-		if gov {
-			if !port.govAdmit(now, &d.opt.Gov) {
-				// Quarantined: skipped outright, no setup cost, no
-				// instruction charges, no chance to match — and no
-				// longer reachable through the published table.
-				d.scanQuarSkip = true
-				if port.tableActive {
-					port.tableActive = false
-					d.tableRemovePort(port)
-				}
-				continue
-			}
-			if !port.tableActive {
-				// Forgiven: the filter re-enters dispatch.
-				port.tableActive = true
-				d.tableInsertPort(port)
-			}
-		}
-
-		var accept bool
-		ran := false // a flat-code run charged to this port
-		instrs := 0
-		switch {
-		case slot >= 0:
-			if fp := tbl.Fallback(slot); fp != nil {
-				r := fp.Run(frame)
-				accept, instrs, ran = r.Accept, r.Instrs, true
-			} else {
-				accept = slotAccepted(slot)
-			}
-		case port.fp != nil:
-			// Not in the snapshot (typically the quarantine-exit
-			// transition packet): the port's own flat code answers.
-			r := port.fp.Run(frame)
-			accept, instrs, ran = r.Accept, r.Instrs, true
-		}
-		if ran {
-			total += instrs
-			port.instrs += uint64(instrs)
-			if gov {
-				port.govCharge(instrs)
-			}
-			if tr != nil {
-				tr.FilterEval(now, d.host.Name(), port.id, instrs, accept)
-			}
-		} else if accept {
-			treeAccepts = append(treeAccepts, port)
-		}
-		if !accept {
-			continue
-		}
-		port.matches++
-		d.host.Counters.PacketsMatched++
-		d.host.Sim().Counters.PacketsMatched++
-		accepted = append(accepted, port)
-		if !port.copyAll {
-			// Same rule as linearMatch: a non-copy-all accept ends the
-			// scan; ports past this point are not reached at all.
-			break
-		}
-	}
-
-	switch {
-	case len(treeAccepts) > 0:
-		share := edges / len(treeAccepts)
-		extra := edges % len(treeAccepts)
-		for k, port := range treeAccepts {
-			in := share
-			if k < extra {
-				in++
-			}
-			port.instrs += uint64(in)
-			if gov {
-				port.govCharge(in)
-			}
-			if tr != nil {
-				tr.FilterEval(now, d.host.Name(), port.id, in, true)
-			}
-		}
-	case edges > 0:
-		// The walk's work benefited no reached port; it stays
-		// device-level.
-		if tr != nil {
-			tr.FilterEval(now, d.host.Name(), -1, edges, false)
-		}
-	}
-	d.treeScratch = treeAccepts[:0]
-
-	cost := time.Duration(total)*costs.FilterInstr + stall
-	if d.curBurst == 0 || d.tableBurst != d.curBurst {
-		cost += costs.FilterApply
-		d.tableBurst = d.curBurst
-	}
-	d.host.Counters.FilterApplied++
-	d.host.Sim().Counters.FilterApplied++
-	d.host.Counters.FilterInstrs += uint64(total)
-	d.host.Sim().Counters.FilterInstrs += uint64(total)
-	return accepted, cost
-}
-
-// rebuildTable compiles the full filter set from scratch — the first
-// bind under incremental maintenance (at setfilter time), or any churn
-// under Options.FullRebuild (on the match path, as a stall).
-func (d *Device) rebuildTable() {
-	var filters []filter.Filter
-	gov := d.opt.Gov.Enabled
-	for _, port := range d.ports {
-		port.slot = -1
-	}
-	var included []*Port
-	for _, port := range d.ports {
-		if port.closed || port.prog == nil || (gov && !port.tableActive) {
-			continue
-		}
-		filters = append(filters, filter.Filter{Priority: port.priority, Program: port.prog})
-		included = append(included, port)
-	}
-	d.table = filter.BuildTable(filters)
-	for i, port := range included {
-		port.slot = i
-	}
-	d.TableBuilds++
-	d.tableWork += uint64(d.table.Work())
-}
-
-// tableInsertPort patches the port's current filter into the published
-// table (or schedules a full rebuild under Options.FullRebuild).  The
-// first bind builds the table eagerly: under incremental maintenance
-// all construction happens at setfilter/close syscall time, so the
-// match path never compiles — the from-scratch-on-match path is the
-// FullRebuild baseline's alone.
-func (d *Device) tableInsertPort(port *Port) {
-	if d.opt.Mode != EvalTable || port.closed || port.prog == nil {
-		return
-	}
-	if d.opt.FullRebuild {
-		d.table = nil
-		return
-	}
-	if d.table == nil {
-		d.rebuildTable()
-		return
-	}
-	before := d.table.Work()
-	nt, slot := d.table.Insert(filter.Filter{Priority: port.priority, Program: port.prog})
-	d.table = nt
-	port.slot = slot
-	d.TablePatches++
-	d.tableWork += uint64(nt.Work() - before)
-}
-
-// tableRemovePort patches the port's filter out of the published table
-// (or schedules a full rebuild under Options.FullRebuild).
-func (d *Device) tableRemovePort(port *Port) {
-	if d.opt.Mode != EvalTable {
-		return
-	}
-	if d.opt.FullRebuild {
-		d.table = nil
-		port.slot = -1
-		return
-	}
-	if d.table == nil || port.slot < 0 {
-		return
-	}
-	before := d.table.Work()
-	d.table = d.table.Remove(port.slot)
-	port.slot = -1
-	d.TablePatches++
-	d.tableWork += uint64(d.table.Work() - before)
-}
-
 // TableWork returns the cumulative decision-table construction work in
 // deterministic filter.Table.Work units — the churn benchmark's
 // maintenance-cost metric.
@@ -1035,47 +664,6 @@ func (d *Device) TableWork() uint64 { return d.tableWork }
 // the cold build this stays flat; under Options.FullRebuild every
 // churn event adds a whole-population compile here.
 func (d *Device) TableStall() time.Duration { return d.tableStall }
-
-// maybeReorder runs a due §3.2 busy-first reorder, deferring it to the
-// burst boundary when a coalesced burst is mid-flight so all frames of
-// one burst observe a single scan order.
-func (d *Device) maybeReorder() {
-	if !d.opt.Reorder || d.pktSeen%uint64(d.opt.ReorderEvery) != 0 {
-		return
-	}
-	if d.curBurst != 0 {
-		d.reorderPending = true
-		return
-	}
-	d.reorder()
-}
-
-// sortPorts re-sorts the port list: priority descending, preserving
-// the current relative order within equal priorities (which reorder()
-// adjusts by busyness).  The decision table is order-free in v2 — the
-// device scans d.ports itself — so sorting does not touch it.
-func (d *Device) sortPorts() {
-	// Insertion sort keeps it stable and the lists are short.
-	for i := 1; i < len(d.ports); i++ {
-		for j := i; j > 0 && d.ports[j-1].priority < d.ports[j].priority; j-- {
-			d.ports[j-1], d.ports[j] = d.ports[j], d.ports[j-1]
-		}
-	}
-}
-
-// reorder moves busier filters earlier within each equal-priority
-// group (§3.2).  Equal-priority ties are resolved by the device's own
-// scan in both evaluation modes, so the decision table stays valid
-// across reorders.
-func (d *Device) reorder() {
-	for i := 1; i < len(d.ports); i++ {
-		for j := i; j > 0 &&
-			d.ports[j-1].priority == d.ports[j].priority &&
-			d.ports[j-1].matches < d.ports[j].matches; j-- {
-			d.ports[j-1], d.ports[j] = d.ports[j], d.ports[j-1]
-		}
-	}
-}
 
 // Errors returned by port operations.
 var (

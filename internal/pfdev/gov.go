@@ -7,7 +7,8 @@ package pfdev
 // binding a maximum-length filter still charges the kernel
 // MaxProgramLen instruction units for every packet on the wire, paid
 // by every other user of the interface.  The governor closes that hole
-// with three cooperating mechanisms, all in virtual time and all
+// with three cooperating mechanisms, all on the engine's clock (virtual
+// time in the simulated device, wall time in live mode) and all
 // strictly opt-in (the zero Options leave every path byte-identical):
 //
 //   - Per-port CPU token buckets.  Each port accrues instruction units
@@ -26,13 +27,14 @@ package pfdev
 //     DropNoMatch: the governor, not the filter set, decided its fate.
 //
 //   - Admission control.  When the kernel-wide backlog (queued packets
-//     plus matched frames awaiting their "pf" charge) crosses
+//     plus, in the simulated device, matched frames awaiting their
+//     "pf" charge) crosses
 //     AdmissionHigh, new frames are shed at demux entry — before any
 //     filter cost is paid — as DropAdmission, until the backlog drains
 //     to AdmissionLow (classic high/low watermark hysteresis, so the
 //     controller does not flap at the boundary).
 //
-// Every governed drop is a typed span termination, so the PR-6
+// Every governed drop is a typed span termination, so the span
 // conservation property (created == delivered + drops + live) holds
 // exactly with governance enabled.
 
@@ -40,8 +42,6 @@ import (
 	"time"
 
 	"repro/internal/filter"
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // GovConfig configures the device's resource governor.  The zero value
@@ -91,18 +91,11 @@ func DefaultGovConfig() GovConfig {
 }
 
 // WithDefaults returns the config with zero fields filled from the
-// default calibration; a disabled config is returned unchanged.  The
-// live-mode device (package live) runs the same governor on wall time
-// and shares this calibration.
+// default calibration; a disabled config is returned unchanged.
 func (g GovConfig) WithDefaults() GovConfig {
 	if !g.Enabled {
 		return g
 	}
-	return g.withDefaults()
-}
-
-// withDefaults fills zero fields of an enabled config.
-func (g GovConfig) withDefaults() GovConfig {
 	def := DefaultGovConfig()
 	if g.Rate <= 0 {
 		g.Rate = def.Rate
@@ -128,14 +121,6 @@ func (g GovConfig) withDefaults() GovConfig {
 	return g
 }
 
-// GovBound computes a filter's pre-admission price for the given
-// evaluation mode — the bucket balance a port must hold before its
-// filter may run.  Exported so the live-mode device prices filters
-// identically to the simulated one.
-func GovBound(mode EvalMode, p filter.Program, opt filter.ValidateOptions) int {
-	return govBoundFor(mode, p, opt)
-}
-
 // govBoundFor computes a filter's pre-admission price: its static
 // worst-case cost in the same scaled units eval() charges for the
 // given mode.  A program the checked interpreter would accept despite
@@ -156,29 +141,30 @@ func govBoundFor(mode EvalMode, p filter.Program, opt filter.ValidateOptions) in
 	}
 }
 
-// govRefillNow lazily accrues tokens for the elapsed virtual time.
-func (port *Port) govRefillNow(now time.Duration, cfg *GovConfig) {
-	if now > port.govRefill {
-		port.govTokens += cfg.Rate * (now - port.govRefill).Seconds()
-		if b := float64(cfg.Burst); port.govTokens > b {
-			port.govTokens = b
+// govRefillNow lazily accrues tokens for the time elapsed on the
+// engine's clock.
+func (pc *PortCore) govRefillNow(now time.Duration, cfg *GovConfig) {
+	if now > pc.govRefill {
+		pc.govTokens += cfg.Rate * (now - pc.govRefill).Seconds()
+		if b := float64(cfg.Burst); pc.govTokens > b {
+			pc.govTokens = b
 		}
-		port.govRefill = now
+		pc.govRefill = now
 	}
 }
 
 // govAdmit decides whether this port's filter may run against the
 // current frame.  A port in its penalty window, or whose bucket cannot
 // cover the filter's worst case (which quarantines it), is skipped.
-func (port *Port) govAdmit(now time.Duration, cfg *GovConfig) bool {
-	port.govRefillNow(now, cfg)
-	if now < port.quarUntil {
-		port.quarSkips++
+func (pc *PortCore) govAdmit(now time.Duration, cfg *GovConfig) bool {
+	pc.govRefillNow(now, cfg)
+	if now < pc.quarUntil {
+		pc.quarSkips++
 		return false
 	}
-	if port.govTokens < float64(port.govBound) {
-		port.govQuarantine(now, cfg)
-		port.quarSkips++
+	if pc.govTokens < float64(pc.govBound) {
+		pc.govQuarantine(now, cfg)
+		pc.quarSkips++
 		return false
 	}
 	return true
@@ -187,69 +173,45 @@ func (port *Port) govAdmit(now time.Duration, cfg *GovConfig) bool {
 // govQuarantine starts (or extends) the port's penalty window: prompt
 // re-offense after the previous window doubles the penalty, good
 // standing for QuarantineCool earns a fresh start at the base.
-func (port *Port) govQuarantine(now time.Duration, cfg *GovConfig) {
-	if port.quarPenalty == 0 || now-port.quarUntil > cfg.QuarantineCool {
-		port.quarPenalty = cfg.QuarantineBase
+func (pc *PortCore) govQuarantine(now time.Duration, cfg *GovConfig) {
+	if pc.quarPenalty == 0 || now-pc.quarUntil > cfg.QuarantineCool {
+		pc.quarPenalty = cfg.QuarantineBase
 	} else {
-		port.quarPenalty *= 2
-		if port.quarPenalty > cfg.QuarantineMax {
-			port.quarPenalty = cfg.QuarantineMax
+		pc.quarPenalty *= 2
+		if pc.quarPenalty > cfg.QuarantineMax {
+			pc.quarPenalty = cfg.QuarantineMax
 		}
 	}
-	port.quarUntil = now + port.quarPenalty
-	port.quarantines++
+	pc.quarUntil = now + pc.quarPenalty
+	pc.quarantines++
 }
 
 // govCharge debits an admitted evaluation's actual cost.  In linear
 // modes the charge never exceeds the pre-admitted bound; in table mode
 // a port's attributed share of a deep shared walk may briefly drive
 // the bucket negative, which simply delays its re-admission.
-func (port *Port) govCharge(units int) {
-	port.govTokens -= float64(units)
-	port.fuelSpent += uint64(units)
-}
-
-// backlog is the admission controller's load signal: packets queued on
-// ports plus matched frames still awaiting their "pf" kernel charge.
-// Both terms are maintained O(1) on the hot path.
-func (d *Device) backlog() int {
-	n := d.queuedTotal
-	for _, rx := range d.rx {
-		n += len(rx.pend) - rx.pendHead
-	}
-	return n
+func (pc *PortCore) govCharge(units int) {
+	pc.govTokens -= float64(units)
+	pc.fuelSpent += uint64(units)
 }
 
 // admitFrame updates the shed/accept hysteresis and reports whether a
-// newly arrived frame may enter the demultiplexer.
-func (d *Device) admitFrame() bool {
-	g := &d.opt.Gov
+// newly arrived frame may enter the demultiplexer.  The backlog is the
+// packets queued on ports plus the owner's pending deliveries.
+func (e *Engine) admitFrame(pending int) bool {
+	g := &e.opt.Gov
 	if !g.Enabled {
 		return true
 	}
-	backlog := d.backlog()
-	if d.shedding {
+	backlog := e.queuedTotal + pending
+	if e.shedding {
 		if backlog <= g.AdmissionLow {
-			d.shedding = false
+			e.shedding = false
 		}
 	} else if backlog >= g.AdmissionHigh {
-		d.shedding = true
+		e.shedding = true
 	}
-	return !d.shedding
-}
-
-// shedFrame accounts one frame refused at demux entry.
-func (d *Device) shedFrame(span uint64) {
-	d.admissionSheds++
-	d.KernelDrops++
-	d.host.Counters.PacketsDropped++
-	d.host.Sim().Counters.PacketsDropped++
-	tr := d.host.Sim().Tracer()
-	now := d.host.Clock().Now()
-	if tr != nil {
-		tr.Drop(now, d.host.Name(), "admission")
-	}
-	tr.SpanDrop(span, now, d.host.Name(), trace.DropAdmission)
+	return !e.shedding
 }
 
 // GovStats is the governor's device-wide report: the admission
@@ -263,19 +225,19 @@ type GovStats struct {
 	FuelSpent       uint64 `json:"fuel_spent"`
 }
 
-// GovStats reports the governor's statistics.  Process context;
-// charges an ioctl.  Ports already closed no longer contribute.
-func (d *Device) GovStats(p *sim.Proc) GovStats {
-	p.Syscall("pf")
+// GovStats reports the governor's statistics; pending is the owner's
+// backlog beyond the port queues, as for Admit.  Ports already closed
+// no longer contribute.
+func (e *Engine) GovStats(pending int) GovStats {
 	gs := GovStats{
-		Shedding:       d.shedding,
-		Backlog:        d.backlog(),
-		AdmissionSheds: d.admissionSheds,
+		Shedding:       e.shedding,
+		Backlog:        e.queuedTotal + pending,
+		AdmissionSheds: e.admissionSheds,
 	}
-	for _, port := range d.ports {
-		gs.Quarantines += port.quarantines
-		gs.QuarantineSkips += port.quarSkips
-		gs.FuelSpent += port.fuelSpent
+	for _, pc := range e.ports {
+		gs.Quarantines += pc.quarantines
+		gs.QuarantineSkips += pc.quarSkips
+		gs.FuelSpent += pc.fuelSpent
 	}
 	return gs
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // portIDs extracts the port-id sequence of a match result.
-func portIDs(ports []*Port) []int {
+func portIDs(ports []*PortCore) []int {
 	ids := make([]int, len(ports))
 	for i, p := range ports {
 		ids[i] = p.id
@@ -50,8 +50,8 @@ func TestEqualPriorityTieDelivery(t *testing.T) {
 
 	check := func(stage string, want []int) {
 		t.Helper()
-		lin, _ := r.db.linearMatch(probe, nil)
-		tab, _ := r.db.tableMatch(probe, nil)
+		lin, _ := r.db.linearMatch(probe, nil, 0)
+		tab, _ := r.db.tableMatch(probe, nil, 0)
 		if !sameIDs(portIDs(lin), want) {
 			t.Errorf("%s: linearMatch delivered to %v, want %v", stage, portIDs(lin), want)
 		}
@@ -97,7 +97,7 @@ func TestReorderKeepsTableValid(t *testing.T) {
 	probe := pupTo(2, 1, 1, 35)
 
 	// Prime the table in the original open order: the tie goes to pA.
-	if tab, _ := r.db.tableMatch(probe, nil); !sameIDs(portIDs(tab), []int{pA.id}) {
+	if tab, _ := r.db.tableMatch(probe, nil, 0); !sameIDs(portIDs(tab), []int{pA.id}) {
 		t.Fatalf("pre-reorder table delivered to %v, want %v", portIDs(tab), []int{pA.id})
 	}
 
@@ -112,8 +112,8 @@ func TestReorderKeepsTableValid(t *testing.T) {
 	if r.db.table != prev {
 		t.Error("reorder replaced the decision table; scan order should not live in it")
 	}
-	lin, _ := r.db.linearMatch(probe, nil)
-	tab, _ := r.db.tableMatch(probe, nil)
+	lin, _ := r.db.linearMatch(probe, nil, 0)
+	tab, _ := r.db.tableMatch(probe, nil, 0)
 	if !sameIDs(portIDs(lin), []int{pB.id}) {
 		t.Errorf("post-reorder linear tie went to %v, want busy port %v", portIDs(lin), []int{pB.id})
 	}

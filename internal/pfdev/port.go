@@ -1,8 +1,6 @@
 package pfdev
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/filter"
@@ -10,87 +8,18 @@ import (
 	"repro/internal/trace"
 )
 
-// Packet is one received packet as returned by Read: the complete
-// frame including the data-link header ("The entire packet, including
-// the data-link layer header, is returned, so that user programs may
-// implement protocols that depend on header information", §3), plus
-// the optional timestamp and the cumulative drop count (§3.3).
-type Packet struct {
-	Data  []byte
-	Stamp time.Duration // reception time; zero unless stamping enabled
-	Drops uint64        // packets lost on this port up to this packet
-
-	// arrived is when the frame entered the packet-filter input path,
-	// the start of the arrival-to-delivery latency the tracer reports.
-	arrived time.Duration
-
-	// slot, when non-zero, is 1 + the ring receive slot holding Data.
-	// The slot stays reserved — free for neither deposit nor reuse —
-	// until the packet is copied out (Read/ReadBatch) or, after a
-	// reap, until the process's next drain syscall reclaims it.
-	slot int
-
-	// span is the packet's provenance span (0 when untracked).
-	span uint64
-
-	// qAt is when the packet entered the port queue; delivery
-	// subtracts it to feed the port's queue-residency accounting.
-	qAt time.Duration
-}
-
-// Span returns the packet's provenance span id (0 when untracked), so
-// user-level protocol code can link its own verdicts — checksum
-// rejects, routing failures — back into the packet's causal tree.
-func (pkt Packet) Span() uint64 { return pkt.span }
-
 // Port is one packet-filter port, opened by a process as a character
-// special device.
+// special device: the engine's port state plus what the simulated
+// kernel keeps around it.
 type Port struct {
+	*portCore
 	dev *Device
-	id  int
-
-	priority uint8
-	prog     filter.Program
-	pv       *filter.Prevalidated
-	compiled *filter.Compiled
-	// fp is the table-mode flat compilation of prog: it evaluates a
-	// quarantine-exit transition packet (the port is admitted again
-	// before the re-inserted filter is visible in the match's table
-	// snapshot) with exactly the cost the table's own fallback path
-	// would charge.  nil when the program fails table-mode validation,
-	// in which case the filter matches nothing — same as in the table.
-	fp *filter.FlatProg
-	// slot is the port's stable slot in the published decision table,
-	// -1 while not resident (no filter bound, quarantined out, or the
-	// table not yet built).
-	slot int
-
-	// queue is head-indexed: qhead marks the first undelivered packet
-	// and dequeues advance it instead of re-slicing, so the backing
-	// array's capacity survives and the steady-state receive path
-	// allocates nothing.
-	queue      []Packet
-	qhead      int
-	queueLimit int
-	maxQueued  int // high-water mark of the input queue
-	dropped    uint64
 
 	timeout  time.Duration // 0: block forever; <0: non-blocking
 	batchMax int           // ReadBatch upper bound; 0 = unlimited
-	copyAll  bool
-	stamp    bool
-	closed   bool
 
-	matches uint64 // packets accepted (for busy-first reordering)
-	instrs  uint64 // filter instruction words interpreted for this port
-	reads   uint64 // successful Read calls
-	batches uint64 // successful ReadBatch calls
-	batched uint64 // packets returned by ReadBatch
-
-	// applyBurst is the coalesced burst that last charged this port's
-	// fixed FilterApply setup; wakePending marks the port as already
-	// collected for this burst's once-per-port reader wakeup.
-	applyBurst  uint64
+	// wakePending marks the port as already collected for a coalesced
+	// burst's once-per-port reader wakeup.
 	wakePending bool
 
 	// lastRxQ is the receive queue that last delivered to this port
@@ -99,76 +28,22 @@ type Port struct {
 	// single-queue device.
 	lastRxQ int
 
-	// Governor state (gov.go).  govTokens is the CPU token bucket in
-	// instruction units, refilled lazily at govRefill; govBound is the
-	// bound filter's scaled worst-case price, pre-admission checked
-	// against the bucket.  quarUntil/quarPenalty implement the
-	// doubling-backoff quarantine; tableActive mirrors the standing
-	// baked into the merged decision table.
-	govTokens   float64
-	govRefill   time.Duration
-	govBound    int
-	quarUntil   time.Duration
-	quarPenalty time.Duration
-	tableActive bool
-	fuelSpent   uint64 // instruction units charged against the bucket
-	quarantines uint64 // times the port entered quarantine
-	quarSkips   uint64 // filter evaluations skipped while quarantined
-
-	// Queue-residency accounting: total and count of time delivered
-	// packets spent on the input queue.
-	qresSum time.Duration
-	qresN   uint64
-
-	// ring, when non-nil, is the mapped shared-memory ring (ring.go);
-	// the counters below split delivery between the two paths.
-	ring        *ring
-	reaps       uint64 // successful ReapBatch calls through the ring
-	reaped      uint64 // packets returned by ReapBatch
-	bytesCopied uint64 // payload bytes moved kernel<->user for this port
-	bytesMapped uint64 // payload bytes delivered or sent in place
-	descErrors  uint64 // hostile/malformed ring descriptors rejected
-
-	qGauge *trace.Gauge // cached tracer gauge for queue depth
-
-	// spanDropCtrs caches the per-port drop-taxonomy counters
-	// ("pf.port<id>.span_drop.<reason>") so steady-state drops do not
-	// build counter names.
-	spanDropCtrs [trace.NumDropReasons]*trace.Counter
-
-	privileged bool // may bind filters above PrivilegedPriority
+	// ring, when non-nil, is the mapped shared-memory ring (ring.go).
+	ring *ring
 
 	readers  *sim.WaitQ
 	watchers []*sim.WaitQ // Select subscribers
 }
 
-// DefaultQueueLimit bounds a port's input queue unless configured
-// otherwise (§3.3: the user controls "the maximum length of the
-// per-port input queue").
-const DefaultQueueLimit = 32
+// portCore lets Port embed the engine's port state without exporting
+// it as a field.
+type portCore = PortCore
 
 // Open opens a new port on the device.  Process context.
 func (d *Device) Open(p *sim.Proc) *Port {
 	p.Syscall("pf")
-	port := &Port{
-		dev:         d,
-		id:          d.nextID,
-		queueLimit:  DefaultQueueLimit,
-		readers:     d.host.Sim().NewWaitQ(),
-		tableActive: true,
-		slot:        -1,
-		lastRxQ:     -1,
-	}
-	if g := d.opt.Gov; g.Enabled {
-		// The bucket starts full at open time — rebinding a filter
-		// deliberately does not refill it, so a hostile port cannot
-		// launder its debt through SetFilter.
-		port.govTokens = float64(g.Burst)
-		port.govRefill = d.host.Clock().Now()
-	}
-	d.nextID++
-	d.ports = append(d.ports, port)
-	d.sortPorts()
+	port := &Port{dev: d, readers: d.host.Sim().NewWaitQ(), lastRxQ: -1}
+	port.portCore = d.engine.Open(port)
 	return port
 }
 
@@ -184,86 +59,13 @@ func (d *Device) OpenPrivileged(p *sim.Proc) *Port {
 // SetFilter binds a filter to the port via ioctl; "a new filter can be
 // bound at any time, at a cost comparable to that of receiving a
 // packet" (§3).  Under EvalFast/EvalCompiled the program is validated
-// or compiled here, at bind time, not per packet.
+// or compiled here, at bind time, not per packet.  A port closed under
+// the process (a host crash closes every port) refuses with ErrClosed.
 func (port *Port) SetFilter(p *sim.Proc, f filter.Filter) error {
 	p.Syscall("pf")
 	p.CopyIn("pf", 2+2*len(f.Program))
 	p.ConsumeKernel("pf", p.Sim().Costs().Copy(128)) // "comparable to receiving a packet"
-
-	if t := port.dev.opt.PrivilegedPriority; t > 0 && f.Priority >= t && !port.privileged {
-		return ErrPriority
-	}
-
-	opt := filter.ValidateOptions{Extensions: port.dev.opt.Extensions}
-	switch port.dev.opt.Mode {
-	case EvalFast:
-		pv, err := filter.Prevalidate(f.Program, opt)
-		if err != nil {
-			return err
-		}
-		pv.SetEnv(filter.Env{HeaderWords: port.dev.nic.Network().Link().HeaderWords()})
-		port.pv = pv
-	case EvalCompiled:
-		c, err := filter.Compile(f.Program, opt,
-			filter.Env{HeaderWords: port.dev.nic.Network().Link().HeaderWords()})
-		if err != nil {
-			return err
-		}
-		port.compiled = c
-	case EvalTable:
-		// The merged table validates on insert; a program that fails
-		// table-mode validation matches nothing rather than erroring,
-		// exactly as before.  The flat compilation here answers for
-		// quarantine-exit transition packets.
-		if fp, err := filter.CompileFlat(f.Program, filter.ValidateOptions{}, filter.Env{}); err == nil {
-			port.fp = fp
-		} else {
-			port.fp = nil
-		}
-	default:
-		// The checked interpreter accepts anything and fails
-		// per packet, exactly like the original driver.
-	}
-	// Rebinding patches the old filter out of the published table and
-	// the new one in (a quarantined port stays out until forgiven).
-	port.dev.tableRemovePort(port)
-	port.prog = f.Program.Clone()
-	port.priority = f.Priority
-	if port.dev.opt.Gov.Enabled {
-		port.govBound = govBoundFor(port.dev.opt.Mode, port.prog, opt)
-	}
-	port.dev.sortPorts()
-	if !port.dev.opt.Gov.Enabled || port.tableActive {
-		port.dev.tableInsertPort(port)
-	}
-	return nil
-}
-
-// eval applies the port's filter to a frame, returning acceptance and
-// the virtual cost in instruction units.  The unit is one *checked*
-// interpreter step; the faster §7 evaluation strategies charge
-// proportionally less: prevalidation removes the per-instruction
-// validity/bounds/stack checks (~40% of the inner loop), and compiled
-// filters skip instruction decode entirely (~1/3 the cost) — the
-// ratios the real-time benchmarks in bench_test.go measure.
-func (port *Port) eval(frame []byte) (bool, int) {
-	switch port.dev.opt.Mode {
-	case EvalFast:
-		r := port.pv.Run(frame)
-		return r.Accept, (r.Instrs*3 + 4) / 5
-	case EvalCompiled:
-		ok := port.compiled.Run(frame)
-		return ok, (port.compiled.Info().Instrs + 2) / 3
-	default:
-		var r filter.Result
-		if port.dev.opt.Extensions {
-			r = filter.RunExt(port.prog, frame,
-				filter.Env{HeaderWords: port.dev.nic.Network().Link().HeaderWords()})
-		} else {
-			r = filter.Run(port.prog, frame)
-		}
-		return r.Accept, r.Instrs
-	}
+	return port.dev.SetFilter(port.portCore, f)
 }
 
 // SetTimeout sets the blocking-read timeout: 0 blocks indefinitely, a
@@ -278,10 +80,7 @@ func (port *Port) SetTimeout(p *sim.Proc, d time.Duration) {
 // SetQueueLimit sets the maximum per-port input queue length.
 func (port *Port) SetQueueLimit(p *sim.Proc, n int) {
 	p.Syscall("pf")
-	if n < 1 {
-		n = 1
-	}
-	port.queueLimit = n
+	port.portCore.SetQueueLimit(n)
 }
 
 // SetCopyAll requests that packets accepted by this port's filter also
@@ -305,35 +104,6 @@ func (port *Port) SetBatchMax(p *sim.Proc, n int) {
 	port.batchMax = n
 }
 
-// queued returns the live (undelivered) packets in queue order.
-func (port *Port) queued() []Packet { return port.queue[port.qhead:] }
-
-// qlen returns the input-queue depth.
-func (port *Port) qlen() int { return len(port.queue) - port.qhead }
-
-// popFront consumes n packets from the queue head, clearing consumed
-// slots (so delivered frames are not retained by the kernel) and
-// recycling the backing array once drained or mostly consumed.
-func (port *Port) popFront(n int) {
-	for i := port.qhead; i < port.qhead+n; i++ {
-		port.queue[i] = Packet{}
-	}
-	port.qhead += n
-	port.dev.queuedTotal -= n
-	switch {
-	case port.qhead == len(port.queue):
-		port.queue = port.queue[:0]
-		port.qhead = 0
-	case port.qhead >= 32 && 2*port.qhead >= len(port.queue):
-		kept := copy(port.queue, port.queue[port.qhead:])
-		for i := kept; i < len(port.queue); i++ {
-			port.queue[i] = Packet{}
-		}
-		port.queue = port.queue[:kept]
-		port.qhead = 0
-	}
-}
-
 // enqueue adds a packet to the port queue and wakes readers (kernel
 // context).  arrived is when the frame entered the packet-filter input
 // path; span is the packet's provenance span.
@@ -343,75 +113,38 @@ func (port *Port) enqueue(frame []byte, arrived time.Duration, span uint64) {
 	}
 }
 
-// spanDropCounter returns (caching) the per-port taxonomy counter for
-// one drop reason.
-func (port *Port) spanDropCounter(tr *trace.Tracer, reason trace.DropReason) *trace.Counter {
-	c := port.spanDropCtrs[reason]
-	if c == nil {
-		c = tr.Counter(port.dev.host.Name(),
-			fmt.Sprintf("pf.port%d.span_drop.%s", port.id, reason))
-		port.spanDropCtrs[reason] = c
-	}
-	return c
-}
-
 // enqueueQuiet adds a packet to the port queue without waking readers,
 // reporting whether it was queued (false: dropped on overflow).  The
 // coalesced input path enqueues a whole burst and then wakes each
 // port's readers once.
 func (port *Port) enqueueQuiet(frame []byte, arrived time.Duration, span uint64) bool {
-	h := port.dev.host
-	limit := port.queueLimit
-	if c := port.dev.queueCap; c > 0 && c < limit {
-		limit = c
-	}
+	d := port.dev
 	r := port.ring
-	if port.qlen() >= limit || (r != nil && len(r.free) == 0) {
+	if r == nil {
+		if d.Enqueue(port.portCore, frame, arrived, span) {
+			return true
+		}
+		d.countDrop()
+		return false
+	}
+	if port.queueFull() || len(r.free) == 0 {
 		// A mapped ring can hold one frame per slot, and slots stay
 		// reserved while queued *or* lent out to a reaping process;
 		// with none free, overflow drops exactly like a full input
 		// queue rather than overwriting a frame still being read.
 		reason := trace.DropPortQueue
-		if r != nil && len(r.free) == 0 && port.qlen() < limit {
+		if !port.queueFull() {
 			reason = trace.DropRingSlots
 		}
-		port.dropped++
-		h.Counters.PacketsDropped++
-		h.Sim().Counters.PacketsDropped++
-		if tr := h.Sim().Tracer(); tr != nil {
-			tr.Drop(h.Clock().Now(), h.Name(), "queue")
-			if span != 0 {
-				port.spanDropCounter(tr, reason).Add(1)
-			}
-			tr.SpanDrop(span, h.Clock().Now(), h.Name(), reason)
-			tr.SpanPort(span, port.id)
-		}
+		d.overflow(port.portCore, span, reason)
+		d.countDrop()
 		return false
 	}
-	var slot int
-	if r != nil {
-		// Deposit the frame in place: the driver writes straight into
-		// a free receive slot of the shared segment, so the later reap
-		// moves no data.
-		frame, slot = r.deposit(frame)
-	}
-	pkt := Packet{Data: frame, Drops: port.dropped, arrived: arrived, slot: slot, span: span,
-		qAt: h.Clock().Now()}
-	if port.stamp {
-		pkt.Stamp = h.Clock().Now()
-	}
-	port.queue = append(port.queue, pkt)
-	port.dev.queuedTotal++
-	if port.qlen() > port.maxQueued {
-		port.maxQueued = port.qlen()
-	}
-	if tr := h.Sim().Tracer(); tr != nil {
-		port.depthGauge(tr).Set(int64(port.qlen()))
-		tr.Enqueue(h.Clock().Now(), h.Name(), port.id, port.qlen())
-	}
-	tr := h.Sim().Tracer()
-	tr.SpanMark(span, trace.StageQueue, h.Clock().Now())
-	tr.SpanPort(span, port.id)
+	// Deposit the frame in place: the driver writes straight into a
+	// free receive slot of the shared segment, so the later reap moves
+	// no data.
+	frame, slot := r.deposit(frame)
+	d.push(port.portCore, frame, arrived, span, slot)
 	return true
 }
 
@@ -422,15 +155,6 @@ func (port *Port) wakeReaders() {
 	for _, w := range port.watchers {
 		w.WakeOne(h)
 	}
-}
-
-// depthGauge returns (caching) the tracer gauge for this port's queue
-// depth.
-func (port *Port) depthGauge(tr *trace.Tracer) *trace.Gauge {
-	if port.qGauge == nil {
-		port.qGauge = tr.Gauge(port.dev.host.Name(), fmt.Sprintf("pf.port%d.depth", port.id))
-	}
-	return port.qGauge
 }
 
 // Read returns the first queued packet, blocking per the port timeout.
@@ -446,28 +170,11 @@ func (port *Port) depthGauge(tr *trace.Tracer) *trace.Gauge {
 // (sim events at equal times run in scheduling order) and is pinned by
 // TestReadTimeoutVsSameTickDelivery.
 func (port *Port) Read(p *sim.Proc) (Packet, error) {
-	if port.closed {
-		return Packet{}, ErrClosed
+	if err := port.await(p, "pfread"); err != nil {
+		return Packet{}, err
 	}
-	p.Syscall("pfread")
-	if r := port.ring; r != nil {
-		r.reclaim()
-	}
-	for port.qlen() == 0 {
-		if port.timeout < 0 {
-			return Packet{}, ErrWouldBlock
-		}
-		if !p.Wait(port.readers, port.timeout) {
-			return Packet{}, ErrTimeout
-		}
-		if port.closed {
-			return Packet{}, ErrClosed
-		}
-	}
-	pkt := port.queue[port.qhead]
-	port.popFront(1)
-	port.qresSum += p.Now() - pkt.qAt
-	port.qresN++
+	d := port.dev
+	pkt := d.takeOne(port.portCore)
 	if r := port.ring; r != nil && pkt.slot > 0 {
 		// Read copies the frame out of its ring slot; the slot frees
 		// immediately.
@@ -478,15 +185,35 @@ func (port *Port) Read(p *sim.Proc) (Packet, error) {
 	port.bytesCopied += uint64(len(pkt.Data))
 	p.CopyOut("pfread", len(pkt.Data))
 	if tr := p.Sim().Tracer(); tr != nil {
-		h := port.dev.host
-		now := p.Now()
-		tr.PortCopied(h.Name(), len(pkt.Data))
-		port.depthGauge(tr).Set(int64(port.qlen()))
-		tr.Dequeue(now, h.Name(), port.id, port.qlen(), 1)
-		tr.Deliver(now, h.Name(), port.id, now-pkt.arrived)
-		tr.SpanDelivered(pkt.span, now, h.Name(), port.id)
+		tr.PortCopied(d.host.Name(), len(pkt.Data))
+		d.traceDelivered(port.portCore, pkt)
 	}
 	return pkt, nil
+}
+
+// await is the drain syscalls' common entry: it charges the system
+// call under tag, reclaims ring slots lent by the previous drain, and
+// blocks per the port timeout until a packet is queued.
+func (port *Port) await(p *sim.Proc, tag string) error {
+	if port.closed {
+		return ErrClosed
+	}
+	p.Syscall(tag)
+	if r := port.ring; r != nil {
+		r.reclaim()
+	}
+	for port.qlen() == 0 {
+		if port.timeout < 0 {
+			return ErrWouldBlock
+		}
+		if !p.Wait(port.readers, port.timeout) {
+			return ErrTimeout
+		}
+		if port.closed {
+			return ErrClosed
+		}
+	}
+	return nil
 }
 
 // ReadBatch returns all queued packets (up to the batch bound) in one
@@ -505,39 +232,15 @@ func (port *Port) ReadBatch(p *sim.Proc) ([]Packet, error) {
 // ring/copy equivalence property test pins that the two paths return
 // the same packet sequence.
 func (port *Port) drainBatch(p *sim.Proc, viaRing bool) ([]Packet, error) {
-	if port.closed {
-		return nil, ErrClosed
-	}
 	tag := "pfread"
 	if viaRing {
 		tag = "pfreap"
 	}
-	p.Syscall(tag)
-	if r := port.ring; r != nil {
-		r.reclaim()
+	if err := port.await(p, tag); err != nil {
+		return nil, err
 	}
-	for port.qlen() == 0 {
-		if port.timeout < 0 {
-			return nil, ErrWouldBlock
-		}
-		if !p.Wait(port.readers, port.timeout) {
-			return nil, ErrTimeout
-		}
-		if port.closed {
-			return nil, ErrClosed
-		}
-	}
-	n := port.qlen()
-	if port.batchMax > 0 && n > port.batchMax {
-		n = port.batchMax
-	}
-	batch := make([]Packet, n)
-	copy(batch, port.queued()[:n])
-	port.popFront(n)
-	for i := range batch {
-		port.qresSum += p.Now() - batch[i].qAt
-	}
-	port.qresN += uint64(n)
+	batch := port.dev.take(port.portCore, port.batchMax)
+	n := len(batch)
 	// Charge each packet against the ring as it exists *now* — the
 	// mapping may have appeared or dissolved while we blocked.  Only
 	// frames that actually sit in a live ring slot and leave through
@@ -591,15 +294,7 @@ func (port *Port) drainBatch(p *sim.Proc, viaRing bool) ([]Packet, error) {
 			tr.PortCopied(h.Name(), copied)
 		}
 	}
-	if tr != nil {
-		now := p.Now()
-		port.depthGauge(tr).Set(int64(port.qlen()))
-		tr.Dequeue(now, h.Name(), port.id, port.qlen(), n)
-		for _, pkt := range batch {
-			tr.Deliver(now, h.Name(), port.id, now-pkt.arrived)
-			tr.SpanDelivered(pkt.span, now, h.Name(), port.id)
-		}
-	}
+	port.dev.traceDelivered(port.portCore, batch...)
 	return batch, nil
 }
 
@@ -656,88 +351,23 @@ func (port *Port) WriteBatch(p *sim.Proc, frames [][]byte) error {
 	return nil
 }
 
-// PortStats is the per-port statistics block reported by Port.Stats
-// and Device.PortStats — the §3.3 "count of the number of packets
-// lost" generalized to everything the kernel already tracks per port.
-// It is fed from the same counters the trace layer reads.
-type PortStats struct {
-	ID           int    `json:"id"`
-	Priority     uint8  `json:"priority"`
-	Queued       int    `json:"queued"`        // packets on the input queue now
-	MaxQueued    int    `json:"max_queued"`    // input-queue high-water mark
-	Dropped      uint64 `json:"dropped"`       // lost to queue overflow
-	Matched      uint64 `json:"matched"`       // accepted by this port's filter
-	FilterInstrs uint64 `json:"filter_instrs"` // instruction words interpreted
-	Reads        uint64 `json:"reads"`         // single-packet reads
-	BatchReads   uint64 `json:"batch_reads"`   // ReadBatch calls
-	BatchPackets uint64 `json:"batch_packets"` // packets returned by ReadBatch
-	RingReaps    uint64 `json:"ring_reaps"`    // ReapBatch calls through a mapped ring
-	ReapPackets  uint64 `json:"reap_packets"`  // packets returned by ReapBatch
-	BytesCopied  uint64 `json:"bytes_copied"`  // payload bytes moved kernel<->user
-	BytesMapped  uint64 `json:"bytes_mapped"`  // payload bytes delivered/sent in place
-	DescErrors   uint64 `json:"desc_errors"`   // malformed ring descriptors rejected
-
-	// Governor and residency accounting (gov.go); the governed fields
-	// stay zero on an ungoverned device.
-	FuelSpent       uint64        `json:"fuel_spent,omitempty"`       // instruction units charged
-	Quarantines     uint64        `json:"quarantines,omitempty"`      // penalty windows entered
-	QuarantineSkips uint64        `json:"quarantine_skips,omitempty"` // evaluations skipped under quarantine
-	AvgResidency    time.Duration `json:"avg_residency_ns,omitempty"` // mean queue residency of delivered packets
-}
-
-// Stats reports the port's statistics block (kernel bookkeeping only;
-// no system call is charged — the device status read PortStats is the
-// user-visible ioctl).
-func (port *Port) Stats() PortStats {
-	var res time.Duration
-	if port.qresN > 0 {
-		res = port.qresSum / time.Duration(port.qresN)
-	}
-	return PortStats{
-		ID:           port.id,
-		Priority:     port.priority,
-		Queued:       port.qlen(),
-		MaxQueued:    port.maxQueued,
-		Dropped:      port.dropped,
-		Matched:      port.matches,
-		FilterInstrs: port.instrs,
-		Reads:        port.reads,
-		BatchReads:   port.batches,
-		BatchPackets: port.batched,
-		RingReaps:    port.reaps,
-		ReapPackets:  port.reaped,
-		BytesCopied:  port.bytesCopied,
-		BytesMapped:  port.bytesMapped,
-		DescErrors:   port.descErrors,
-
-		FuelSpent:       port.fuelSpent,
-		Quarantines:     port.quarantines,
-		QuarantineSkips: port.quarSkips,
-		AvgResidency:    res,
-	}
-}
-
 // PortStats returns the statistics blocks of every open port in port-id
 // order — the status-read extension of §3.3's lost-packet counts.
 // Process context; charges an ioctl.
 func (d *Device) PortStats(p *sim.Proc) []PortStats {
 	p.Syscall("pf")
-	stats := make([]PortStats, 0, len(d.ports))
-	for _, port := range d.ports {
-		stats = append(stats, port.Stats())
-	}
-	sort.Slice(stats, func(i, j int) bool { return stats[i].ID < stats[j].ID })
-	return stats
+	return d.engine.PortStats()
 }
 
-// Matches returns how many packets this port's filter has accepted.
+// GovStats reports the governor's statistics.  Process context;
+// charges an ioctl.  Ports already closed no longer contribute.
+func (d *Device) GovStats(p *sim.Proc) GovStats {
+	p.Syscall("pf")
+	return d.engine.GovStats(d.pending())
+}
+
 // Host returns the host this port's device is attached to.
 func (port *Port) Host() *sim.Host { return port.dev.host }
-
-func (port *Port) Matches() uint64 { return port.matches }
-
-// Priority returns the bound filter's priority.
-func (port *Port) Priority() uint8 { return port.priority }
 
 // Close releases the port; blocked readers fail with ErrClosed.
 func (port *Port) Close(p *sim.Proc) {
@@ -745,23 +375,10 @@ func (port *Port) Close(p *sim.Proc) {
 		return
 	}
 	p.Syscall("pf")
-	port.closed = true
-	port.dev.queuedTotal -= port.qlen()
 	// Packets still queued will never be read; their spans die typed.
-	tr := port.dev.host.Sim().Tracer()
-	now := port.dev.host.Clock().Now()
-	for _, pkt := range port.queued() {
-		tr.SpanDrop(pkt.span, now, port.dev.host.Name(), trace.DropPortClose)
-	}
+	port.dev.engine.Close(port.portCore)
 	port.detachRing()
 	port.readers.WakeAll(port.dev.host)
-	for i, q := range port.dev.ports {
-		if q == port {
-			port.dev.ports = append(port.dev.ports[:i], port.dev.ports[i+1:]...)
-			break
-		}
-	}
-	port.dev.tableRemovePort(port)
 }
 
 // Select blocks until one of the ports has a queued packet — or has
